@@ -2,14 +2,17 @@
 
 PowerAPI sensors sample on a monitoring period.  The :class:`VirtualClock`
 is driven by simulated time (the host calls :meth:`advance` as the kernel
-steps) and publishes a :class:`ClockTick` on the event bus whenever a
-period boundary passes, so every subscribed Sensor fires at its configured
-rate regardless of the kernel quantum.
+steps, and asks :meth:`steps_to_next_tick` how far it may step before the
+next sample is due) and publishes a :class:`ClockTick` on the event bus
+whenever a period boundary passes, so every subscribed Sensor fires at
+its configured rate regardless of the kernel quantum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
 from repro.actors.eventbus import EventBus
 from repro.errors import ConfigurationError
 
@@ -36,22 +39,44 @@ class VirtualClock:
         self._time_s = 0.0
         self.ticks_emitted = 0
 
-    def advance(self, dt_s: float) -> int:
-        """Advance simulated time; publish one tick per completed period.
+    def advance(self, dt_s: float, steps: int = 1) -> int:
+        """Advance simulated time by *steps* increments of *dt_s*;
+        publish one tick per completed period.
 
+        The increments are applied one at a time, exactly as *steps*
+        separate calls would, so the tick times are bit-identical.
         Returns the number of ticks published for this advance.
         """
         if dt_s < 0:
             raise ConfigurationError("cannot advance time backwards")
-        self._elapsed_s += dt_s
-        self._time_s += dt_s
+        threshold = self.period_s - 1e-12
         published = 0
-        while self._elapsed_s >= self.period_s - 1e-12:
-            self._elapsed_s -= self.period_s
-            self.ticks_emitted += 1
-            published += 1
-            self.bus.publish(ClockTick(
-                time_s=self._time_s - self._elapsed_s,
-                period_s=self.period_s,
-            ))
+        for _ in repeat(None, steps):
+            self._elapsed_s += dt_s
+            self._time_s += dt_s
+            while self._elapsed_s >= threshold:
+                self._elapsed_s -= self.period_s
+                self.ticks_emitted += 1
+                published += 1
+                self.bus.publish(ClockTick(
+                    time_s=self._time_s - self._elapsed_s,
+                    period_s=self.period_s,
+                ))
         return published
+
+    def steps_to_next_tick(self, dt_s: float, limit: int) -> int:
+        """Increments of *dt_s* until the next tick publishes, at most
+        *limit*.
+
+        Repeats the float additions :meth:`advance` will perform, so the
+        count is exact, not a rounded ``period / dt``.
+        """
+        elapsed = self._elapsed_s
+        threshold = self.period_s - 1e-12
+        steps = 0
+        while steps < limit:
+            steps += 1
+            elapsed += dt_s
+            if elapsed >= threshold:
+                break
+        return steps

@@ -4,14 +4,16 @@ Execution model: :meth:`ActorSystem.dispatch` drains mailboxes in global
 FIFO order until quiescent.  Because there is exactly one thread, message
 processing is deterministic — the property that makes the PowerAPI
 pipeline unit-testable tick by tick.  Under real-time use the host
-(:class:`repro.core.monitor.PowerAPI`) calls ``dispatch()`` after every
-clock tick, which is equivalent to an event loop that always drains.
+(:class:`repro.core.monitor.PowerAPI`) calls ``dispatch()`` at every
+sampling deadline, which is equivalent to an event loop that always
+drains: between deadlines the system is :attr:`ActorSystem.quiescent`,
+so there is nothing to drain.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.actors.actor import (Actor, ActorContext, ActorRef, Envelope,
                                 Mailbox)
@@ -45,6 +47,8 @@ class ActorSystem:
         self.event_bus = EventBus(self)
         self._cells: Dict[str, _Cell] = {}
         self._run_queue: Deque[str] = deque()
+        #: Names of cells in restart backoff (``suspended_until`` set).
+        self._suspended: Set[str] = set()
         self._counter = 0
         #: Monotone virtual-clock time; drives restart backoff.  The host
         #: (PowerAPI) advances it via :meth:`advance_time`.
@@ -92,6 +96,7 @@ class ActorSystem:
         cell = self._cells.pop(ref.name, None)
         if cell is None:
             return
+        self._suspended.discard(ref.name)
         self.event_bus.unsubscribe_all(ref)
         cell.actor.post_stop()
         cell.actor.context = None
@@ -178,6 +183,7 @@ class ActorSystem:
             delay = self.strategy.backoff_s(cell.failure_count)
             if delay > 0.0:
                 cell.suspended_until = self.clock_s + delay
+                self._suspended.add(name)
                 self._notify(name, "actor-restart-scheduled",
                              f"{type(failure).__name__}: restart in "
                              f"{delay:g}s")
@@ -201,6 +207,7 @@ class ActorSystem:
         context.sender = None
         cell.actor = fresh
         cell.suspended_until = None
+        self._suspended.discard(name)
         fresh.pre_start()
         self._notify(name, "actor-restarted",
                      f"after {cell.failure_count} failure(s)")
@@ -221,6 +228,8 @@ class ActorSystem:
     def advance_time(self, now_s: float) -> None:
         """Advance the virtual clock; resume actors whose backoff expired."""
         self.clock_s = max(self.clock_s, now_s)
+        if not self._suspended:
+            return
         due: List[str] = [
             name for name, cell in self._cells.items()
             if cell.suspended_until is not None
@@ -237,6 +246,15 @@ class ActorSystem:
     def actor_names(self):
         """Names of all live actors."""
         return tuple(self._cells)
+
+    @property
+    def quiescent(self) -> bool:
+        """No mail is queued to run and no actor is in restart backoff.
+
+        O(1): the host steps the kernel in long segments only while
+        this holds, since nothing could run between its deadlines.
+        """
+        return not self._run_queue and not self._suspended
 
     def pending_messages(self) -> int:
         """Total messages waiting in mailboxes."""

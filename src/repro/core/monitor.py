@@ -22,6 +22,8 @@ spec loaded from a JSON/TOML config file travels:
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.actors.actor import Actor, ActorRef
@@ -413,29 +415,58 @@ class PowerAPI:
 
     # -- driving ----------------------------------------------------------
 
-    def _step(self) -> None:
-        self.kernel.tick()
-        # Faults and restart backoffs are resolved against the fresh
-        # kernel time *before* the clock tick reaches the sensors, so a
-        # fault at t is visible to the samples taken at t.
-        self.system.advance_time(self.kernel.time_s)
-        if self._injector is not None:
-            self._injector.advance(self.kernel.time_s)
-        self.clock.advance(self.kernel.quantum_s)
-        self.system.dispatch()
+    def _drive(self, max_quanta: int, until_idle: bool = False,
+               until_s: float = math.inf) -> None:
+        """Co-drive kernel, clock, injector and actors quantum-exactly.
+
+        The kernel advances in segments that end at the next deadline:
+        the next clock boundary, the injector's next due fault, or the
+        end of the run.  Only at a deadline can anything happen on the
+        actor side, so ``advance_time``, the injector, the clock and
+        ``dispatch`` run once per segment, with the same results as
+        running them after every quantum.  While mail is queued or an
+        actor sits in restart backoff, segments are one quantum long.
+        """
+        kernel = self.kernel
+        system = self.system
+        clock = self.clock
+        quantum = kernel.quantum_s
+        done = 0
+        while done < max_quanta:
+            limit = max_quanta - done
+            if not system.quiescent:
+                limit = 1
+            else:
+                limit = clock.steps_to_next_tick(quantum, limit)
+                if self._injector is not None and limit > 1:
+                    limit = self._injector.steps_to_next_due(
+                        kernel.time_s, quantum, limit)
+            ran = kernel.advance(limit, until_idle=until_idle,
+                                 until_s=until_s)
+            if ran == 0:
+                return
+            # Faults and restart backoffs are resolved against the fresh
+            # kernel time *before* the clock tick reaches the sensors, so
+            # a fault at t is visible to the samples taken at t.
+            now_s = kernel.time_s
+            system.advance_time(now_s)
+            if self._injector is not None:
+                self._injector.advance(now_s)
+            clock.advance(quantum, ran)
+            system.dispatch()
+            if ran < limit:
+                return  # the kernel went idle or hit until_s
+            done += ran
 
     def run(self, duration_s: float) -> None:
         """Advance kernel, clock and actors together for *duration_s*."""
         if duration_s < 0:
             raise ConfigurationError("duration must be >= 0")
-        steps = int(round(duration_s / self.kernel.quantum_s))
-        for _step in range(steps):
-            self._step()
+        self._drive(int(round(duration_s / self.kernel.quantum_s)))
 
     def run_until_idle(self, max_duration_s: float = 3600.0) -> None:
         """Run until every monitored process exits."""
-        while self.kernel.live_pids and self.kernel.time_s < max_duration_s:
-            self._step()
+        self._drive(sys.maxsize, until_idle=True, until_s=max_duration_s)
 
     def flush(self) -> None:
         """Force aggregators to emit partial/summary reports."""

@@ -2,9 +2,10 @@
 
 The injector is driven by the host's run loop
 (:meth:`repro.core.monitor.PowerAPI.run` calls :meth:`FaultInjector.advance`
-once per kernel quantum, *before* the monitoring clock publishes its
-tick), so faults land at deterministic virtual-clock times regardless of
-period or quantum.  Every applied action publishes a
+at every deadline, *before* the monitoring clock publishes its tick, and
+ends a kernel segment at the quantum :meth:`FaultInjector.steps_to_next_due`
+names), so faults land at deterministic virtual-clock times regardless
+of period or quantum.  Every applied action publishes a
 ``fault-injected`` :class:`~repro.core.messages.HealthEvent`, so the
 health log doubles as the campaign's ground-truth record.
 """
@@ -73,6 +74,27 @@ class FaultInjector:
     def exhausted(self) -> bool:
         """Whether every scheduled action has been applied."""
         return not self._queue
+
+    def steps_to_next_due(self, now_s: float, dt_s: float,
+                          limit: int) -> int:
+        """Increments of *dt_s* from *now_s* until the next action is
+        due, at most *limit* (*limit* when nothing is scheduled).
+
+        Repeats the kernel's float additions and :meth:`advance`'s due
+        test, so the segment ends on the exact quantum a per-quantum
+        loop would have fired the action at.
+        """
+        if not self._queue:
+            return limit
+        at_s = self._queue[0][0]
+        time_s = now_s
+        steps = 0
+        while steps < limit:
+            steps += 1
+            time_s += dt_s
+            if at_s <= time_s + 1e-12:
+                break
+        return steps
 
     def advance(self, now_s: float) -> int:
         """Apply every action due at or before *now_s*; returns the count."""

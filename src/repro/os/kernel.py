@@ -1,16 +1,25 @@
 """The simulated kernel: process table, scheduling loop and time base.
 
-:class:`SimKernel` glues the OS layer to the machine.  Its :meth:`tick`
-performs one quantum: poll every live process for its demand, let the
-governor adjust P-states from the previous quantum's utilisation, let the
-scheduler produce assignments, step the machine, and update process
-accounting.  :meth:`run` loops that for a duration; :meth:`run_until_idle`
-loops until every process exits.
+:class:`SimKernel` glues the OS layer to the machine.  :meth:`advance`
+is its one stepping loop.  Every quantum it polls each live process for
+its demand, lets the governor adjust P-states from the previous
+quantum's utilisation, lets the scheduler produce assignments, looks up
+the machine's compiled :class:`~repro.simcpu.engine.TickProgram` for
+them and updates process accounting.  Consecutive quanta that resolve
+to the same program object are coalesced into one engine replay, so a
+steady stretch costs one ``BatchEngine.replay(program, n)`` — the
+machine state afterwards is bit-identical to replaying each quantum on
+its own.  :meth:`tick` is ``advance(1)``; :meth:`run` advances for a
+duration and :meth:`run_until_idle` until every process exits.  Both
+return only the final :class:`~repro.simcpu.machine.TickRecord`, so
+memory does not grow with the run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ProcessError
@@ -18,11 +27,20 @@ from repro.os.governor import Governor, PerformanceGovernor
 from repro.os.process import Demand, Program, ProcessState, SimProcess
 from repro.os.procfs import ProcFs
 from repro.os.scheduler import Scheduler, SpreadScheduler
-from repro.simcpu.machine import Machine, TickRecord
+from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
 from repro.simcpu.spec import CpuSpec
 
 #: Default scheduling quantum, seconds (10 ms, a typical kernel tick).
 DEFAULT_QUANTUM_S = 0.01
+
+
+def _granted(assignments: List[ThreadAssignment]) -> Dict[int, float]:
+    """CPU fraction granted per pid over one quantum's assignments."""
+    granted: Dict[int, float] = {}
+    for assignment in assignments:
+        granted[assignment.pid] = (granted.get(assignment.pid, 0.0)
+                                   + assignment.busy_fraction)
+    return granted
 
 
 class SimKernel:
@@ -79,43 +97,87 @@ class SimKernel:
         """Current simulated time."""
         return self.machine.time_s
 
+    def advance(self, n_quanta: int, until_idle: bool = False,
+                until_s: float = math.inf) -> int:
+        """Run up to *n_quanta* scheduling quanta; returns how many ran.
+
+        Stops early, before a quantum, once every process has exited
+        (with *until_idle*) or simulated time has reached *until_s*.
+        Runs of quanta that resolve to the same compiled program are
+        replayed by the engine in one call; the pending run is flushed
+        whenever the program changes and when the loop ends, also when
+        it ends by an exception.
+        """
+        if n_quanta < 0:
+            raise ConfigurationError("cannot advance a negative number "
+                                     "of quanta")
+        engine = self.machine._engine
+        quantum = self.quantum_s
+        processes = self._processes.values()
+        time_s = self.machine.time_s
+        live = not until_idle or any(process.alive for process in processes)
+        pending = None
+        run_length = 0
+        done = 0
+        granted: Dict[int, float] = {}
+        try:
+            while done < n_quanta and live and time_s < until_s:
+                demands: List[Tuple[SimProcess, Demand]] = []
+                for process in processes:
+                    if not process.alive:
+                        continue
+                    demand = process.poll_demand()
+                    if demand is not None:
+                        demands.append((process, demand))
+                if until_idle:
+                    live = bool(demands)
+
+                self.governor.update(self._last_busy)
+                assignments = self.scheduler.assign(demands)
+                program = engine.program(assignments, quantum)
+                if program is not pending:
+                    if pending is not None:
+                        flush, pending = pending, None
+                        engine.replay(flush, run_length)
+                    pending, run_length = program, 0
+                    granted = _granted(assignments)
+                run_length += 1
+                # The program owns its busy map and nothing mutates it.
+                self._last_busy = program.cpu_busy
+                for process, _demand in demands:
+                    process.account(granted.get(process.pid, 0.0) * quantum,
+                                    quantum)
+                time_s += quantum
+                done += 1
+        finally:
+            if pending is not None:
+                engine.replay(pending, run_length)
+        return done
+
     def tick(self) -> TickRecord:
         """Run one scheduling quantum."""
-        demands: List[Tuple[SimProcess, Demand]] = []
-        for process in self._processes.values():
-            if not process.alive:
-                continue
-            demand = process.poll_demand()
-            if demand is not None:
-                demands.append((process, demand))
+        self.advance(1)
+        return self.machine.last_record
 
-        self.governor.update(self._last_busy)
-        assignments = self.scheduler.assign(demands)
-        record = self.machine.step(assignments, self.quantum_s)
-        # The record owns its busy map and nothing mutates it afterwards;
-        # keep a reference instead of copying it every quantum.
-        self._last_busy = record.cpu_busy
+    def run(self, duration_s: float) -> Optional[TickRecord]:
+        """Run for *duration_s* of simulated time.
 
-        granted: Dict[int, float] = {}
-        for assignment in assignments:
-            granted[assignment.pid] = (granted.get(assignment.pid, 0.0)
-                                       + assignment.busy_fraction)
-        for process, _demand in demands:
-            process.account(
-                granted.get(process.pid, 0.0) * self.quantum_s, self.quantum_s)
-        return record
-
-    def run(self, duration_s: float) -> List[TickRecord]:
-        """Run for *duration_s* of simulated time."""
+        Returns the final quantum's record (None when no quantum ran).
+        """
         if duration_s < 0:
             raise ConfigurationError("duration must be >= 0")
         steps = int(round(duration_s / self.quantum_s))
-        return [self.tick() for _ in range(steps)]
+        if self.advance(steps) == 0:
+            return None
+        return self.machine.last_record
 
-    def run_until_idle(self, max_duration_s: float = 3600.0) -> List[TickRecord]:
-        """Run until every process has exited (bounded by *max_duration_s*)."""
-        records: List[TickRecord] = []
+    def run_until_idle(self, max_duration_s: float = 3600.0
+                       ) -> Optional[TickRecord]:
+        """Run until every process has exited (bounded by *max_duration_s*).
+
+        Returns the final quantum's record (None when no quantum ran).
+        """
         deadline = self.time_s + max_duration_s
-        while self.live_pids and self.time_s < deadline:
-            records.append(self.tick())
-        return records
+        if self.advance(sys.maxsize, until_idle=True, until_s=deadline) == 0:
+            return None
+        return self.machine.last_record

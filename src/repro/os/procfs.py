@@ -3,17 +3,19 @@
 This is the interface the CPU-load baseline (Versick et al.) and the
 PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 ``/proc/<pid>/stat`` utime) and per-CPU busy/idle time (as ``/proc/stat``).
-It observes the machine's tick stream, so it sees exactly what the
+It consumes the machine's replayed segments, so it sees exactly what the
 simulated kernel sees — no access to the hidden power model.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import repeat
 from typing import Dict, Tuple
 
 from repro.errors import ProcessError
-from repro.simcpu.machine import Machine, TickRecord
+from repro.simcpu.engine import TickProgram
+from repro.simcpu.machine import Machine
 
 
 class ProcFs:
@@ -24,19 +26,51 @@ class ProcFs:
         self._pid_cpu_time_s: Dict[int, float] = defaultdict(float)
         self._cpu_busy_s: Dict[int, float] = defaultdict(float)
         self._total_time_s = 0.0
-        machine.add_observer(self._on_tick)
+        machine.add_consumer(self._on_segment)
 
-    def _on_tick(self, record: TickRecord) -> None:
-        self._total_time_s += record.dt_s
-        for cpu_id, busy in record.cpu_busy.items():
-            self._cpu_busy_s[cpu_id] += busy * record.dt_s
-        # Per-pid CPU time is busy_fraction * dt; recover it from retired
-        # cycles at the core's granted frequency.
-        for (pid, cpu_id), delta in record.events.items():
-            core = self._machine.topology.cpu(cpu_id)
-            frequency = record.core_frequencies_hz[(core.package_id, core.core_id)]
+    def _derive(self, program: TickProgram):
+        """Per-tick addends: busy seconds per CPU, CPU seconds per pid.
+
+        Per-pid CPU time is busy_fraction * dt; it is recovered from
+        retired cycles at the core's granted frequency.  A pid running
+        on several CPUs keeps its addends in the tick's event order.
+        """
+        cpu_addends = tuple((cpu_id, busy * program.dt_s)
+                            for cpu_id, busy in program.cpu_busy.items())
+        pid_addends: Dict[int, list] = {}
+        topology = self._machine.topology
+        for (pid, cpu_id), delta in program.events.items():
+            core = topology.cpu(cpu_id)
+            frequency = program.core_freqs[(core.package_id, core.core_id)]
             if frequency > 0:
-                self._pid_cpu_time_s[pid] += delta.get("cycles", 0.0) / frequency
+                pid_addends.setdefault(pid, []).append(
+                    delta.get("cycles", 0.0) / frequency)
+        return cpu_addends, tuple((pid, tuple(addends))
+                                  for pid, addends in pid_addends.items())
+
+    def _on_segment(self, program: TickProgram, n_ticks: int) -> None:
+        derived = program.derived.get("procfs")
+        if derived is None:
+            derived = program.derived["procfs"] = self._derive(program)
+        cpu_addends, pid_addends = derived
+        dt = program.dt_s
+        total = self._total_time_s
+        for _ in repeat(None, n_ticks):
+            total += dt
+        self._total_time_s = total
+        cpu_busy_s = self._cpu_busy_s
+        for cpu_id, addend in cpu_addends:
+            value = cpu_busy_s[cpu_id]
+            for _ in repeat(None, n_ticks):
+                value += addend
+            cpu_busy_s[cpu_id] = value
+        pid_cpu_time_s = self._pid_cpu_time_s
+        for pid, addends in pid_addends:
+            value = pid_cpu_time_s[pid]
+            for _ in repeat(None, n_ticks):
+                for addend in addends:
+                    value += addend
+            pid_cpu_time_s[pid] = value
 
     # -- /proc/<pid>/stat ----------------------------------------------------
 

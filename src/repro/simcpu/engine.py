@@ -34,6 +34,19 @@ record per tick with fully committed machine state, exactly as before;
 with no observers the per-tick record materialisation is skipped and
 the counter cells are accumulated column-wise, which is where the
 order-of-magnitude throughput win comes from.
+
+Two kinds of subscriber read the replay:
+
+* **segment consumers** (``Machine.add_consumer``: ``ProcFs`` and
+  ``PerfSession``) are called once per replayed segment with
+  ``(program, n)`` and fold the program's per-tick addends *n* times
+  themselves.  They memoise what they derive from a program in its
+  ``derived`` slot, so a steady segment costs them one dict lookup
+  plus the additions.  They never force the tick-wise path.
+* **tick observers** (``Machine.add_observer``: meters, RAPL, the
+  attribution oracle, user callbacks) see every :class:`TickRecord`;
+  while any is attached replay runs tick-wise, and consumers are then
+  called with ``(program, 1)`` each tick, before the observers.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ class TickProgram:
         "dt_s", "cpu_busy", "core_freqs", "events", "machine_events",
         "single_cells", "multi_cells", "current_states", "has_counters",
         "idle_w", "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w",
-        "dynamic_w", "bank", "cstates",
+        "dynamic_w", "bank", "cstates", "derived",
     )
 
 
@@ -166,6 +179,8 @@ class BatchEngine:
                            + breakdown.uncore) + breakdown.dram)
         program.bank = machine.counters
         program.cstates = machine.cstates
+        # Segment consumers memoise what they derive from the program here.
+        program.derived = {}
         return program
 
     def _activities(self, cpu_busy, core_freqs, core_weights, dt_s):
@@ -250,15 +265,18 @@ class BatchEngine:
 
         With observers attached every tick materialises (and delivers) a
         full record over fully committed machine state, exactly like the
-        tick-at-a-time loop.  Without observers only the final record is
-        built and the accumulation cells are walked column-wise — one
-        tight ``t += d`` loop per cell — which performs the identical
-        additions in a cell-local order.
+        tick-at-a-time loop; segment consumers then run once per tick.
+        Without observers only the final record is built, the
+        accumulation cells are walked column-wise — one tight
+        ``t += d`` loop per cell — which performs the identical
+        additions in a cell-local order, and each segment consumer is
+        called once with the whole segment.
         """
         from repro.simcpu.machine import TickRecord
 
         machine = self._machine
         observers = machine._observers
+        consumers = machine._consumers
         thermal = machine.thermal
         dt = program.dt_s
         target_c, decay, leak_per_c, ambient_c = thermal.batch_constants(
@@ -304,6 +322,8 @@ class BatchEngine:
                     bank.mark_dirty()
                 machine._energy_j = energy
                 machine._time_s = time_s
+                for consumer in consumers:
+                    consumer(program, 1)
                 record = TickRecord(
                     time_s=time_s,
                     dt_s=dt,
@@ -347,6 +367,8 @@ class BatchEngine:
         machine._time_s = time_s
         if program.has_counters:
             program.bank.mark_dirty()
+        for consumer in consumers:
+            consumer(program, n_ticks)
         record = TickRecord(
             time_s=time_s,
             dt_s=dt,

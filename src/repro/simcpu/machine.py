@@ -12,8 +12,17 @@ instruction mix and memory profile — and the machine
 4. accounts C-state residencies,
 5. evaluates the hidden ground-truth power model.
 
-Every step produces a :class:`TickRecord`; observers (power meters, perf
-counters, trace recorders) subscribe to the stream.
+Every step produces a :class:`TickRecord`.  Two kinds of subscriber
+read the machine as it advances:
+
+* **segment consumers** (:meth:`Machine.add_consumer` — the kernel's
+  ``ProcFs`` and a ``PerfSession``) are called once per replayed
+  segment with the compiled program and its tick count, so steady
+  stretches cost them a few additions per cell rather than a full
+  record walk per tick;
+* **tick observers** (:meth:`Machine.add_observer` — power meters,
+  RAPL, the attribution oracle, trace recorders) see every record; any
+  attached observer puts the engine on its tick-wise replay.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from repro.simcpu import counters as ev
 from repro.simcpu.caches import CacheModel, MemoryProfile
 from repro.simcpu.counters import CounterBank, EventDelta
 from repro.simcpu.cstates import CStateController
-from repro.simcpu.engine import BatchEngine
+from repro.simcpu.engine import BatchEngine, TickProgram
 from repro.simcpu.frequency import FrequencyDomain
 from repro.simcpu.pipeline import InstructionMix, PipelineModel
 from repro.simcpu.power import GroundTruthPower, PowerBreakdown, ThermalModel
@@ -105,6 +114,8 @@ class TickRecord:
 
 
 TickObserver = Callable[[TickRecord], None]
+#: Called as ``consumer(program, n_ticks)`` once per replayed segment.
+SegmentConsumer = Callable[[TickProgram, int], None]
 
 
 class Machine:
@@ -123,6 +134,7 @@ class Machine:
         self._time_s = 0.0
         self._energy_j = 0.0
         self._observers: List[TickObserver] = []
+        self._consumers: List[SegmentConsumer] = []
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
         # Hot-path lookups resolved once: the topology is immutable, and
@@ -158,6 +170,23 @@ class Machine:
         """
         try:
             self._observers.remove(observer)
+        except ValueError:
+            pass
+
+    def add_consumer(self, consumer: SegmentConsumer) -> None:
+        """Subscribe *consumer* to replayed segments ``(program, n)``.
+
+        A consumer folds the program's per-tick contribution *n* times
+        in the per-tick order, so its state matches a tick observer's
+        bit for bit.  Unlike an observer it does not force the engine
+        onto its tick-wise replay.
+        """
+        self._consumers.append(consumer)
+
+    def remove_consumer(self, consumer: SegmentConsumer) -> None:
+        """Unsubscribe a segment consumer; a no-op if not subscribed."""
+        try:
+            self._consumers.remove(consumer)
         except ValueError:
             pass
 
