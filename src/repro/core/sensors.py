@@ -123,8 +123,11 @@ class HpcSensor(PipelineStage):
         except (CounterInvalidError, CounterStateError):
             return False
         self._counters[pid] = counters
+        # A counter opened now has counted nothing, so its baseline is
+        # zero; reading it instead would raise inside a sample-loss
+        # window and take a sensor restart down with it.
         self._previous[pid] = {
-            counter.event: self._snapshot(counter) for counter in counters}
+            counter.event: (0.0, 0.0, 0.0) for counter in counters}
         return True
 
     @staticmethod

@@ -44,17 +44,27 @@ class Governor:
 class PerformanceGovernor(Governor):
     """Always run at the maximum sustained frequency (turbo if present)."""
 
+    def __init__(self, spec: CpuSpec, topology: Topology,
+                 domain: FrequencyDomain) -> None:
+        super().__init__(spec, topology, domain)
+        # CpuSpec is frozen, so the target is fixed for the governor's life.
+        self._target_hz = (spec.turbo_frequencies_hz[-1]
+                           if spec.turbo_enabled else spec.max_frequency_hz)
+
     def update(self, cpu_busy: Mapping[int, float]) -> None:
-        target = (self.spec.turbo_frequencies_hz[-1]
-                  if self.spec.turbo_enabled else self.spec.max_frequency_hz)
-        self.domain.set_all_targets(target)
+        self.domain.set_all_targets(self._target_hz)
 
 
 class PowersaveGovernor(Governor):
     """Always run at the minimum frequency."""
 
+    def __init__(self, spec: CpuSpec, topology: Topology,
+                 domain: FrequencyDomain) -> None:
+        super().__init__(spec, topology, domain)
+        self._target_hz = spec.min_frequency_hz
+
     def update(self, cpu_busy: Mapping[int, float]) -> None:
-        self.domain.set_all_targets(self.spec.min_frequency_hz)
+        self.domain.set_all_targets(self._target_hz)
 
 
 class UserspaceGovernor(Governor):

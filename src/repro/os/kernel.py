@@ -9,10 +9,21 @@ them and updates process accounting.  Consecutive quanta that resolve
 to the same program object are coalesced into one engine replay, so a
 steady stretch costs one ``BatchEngine.replay(program, n)`` — the
 machine state afterwards is bit-identical to replaying each quantum on
-its own.  :meth:`tick` is ``advance(1)``; :meth:`run` advances for a
-duration and :meth:`run_until_idle` until every process exits.  Both
-return only the final :class:`~repro.simcpu.machine.TickRecord`, so
-memory does not grow with the run.
+its own.
+
+A *steady* quantum skips placement and the program lookup altogether:
+when every live process returned the identical ``Demand`` object, in
+the same order, as in the previous quantum of the same :meth:`advance`
+call, and the governor left the frequency generation unchanged, the
+scheduler would place the threads exactly as before and the engine
+would return the pending program, so both are reused.  Nice levels,
+affinities, kills, governor swaps and caps only change between calls,
+which is why the comparison starts afresh with each call.
+
+:meth:`tick` is ``advance(1)``; :meth:`run` advances for a duration and
+:meth:`run_until_idle` until every process exits.  Both return only the
+final :class:`~repro.simcpu.machine.TickRecord`, so memory does not
+grow with the run.
 """
 
 from __future__ import annotations
@@ -32,6 +43,21 @@ from repro.simcpu.spec import CpuSpec
 
 #: Default scheduling quantum, seconds (10 ms, a typical kernel tick).
 DEFAULT_QUANTUM_S = 0.01
+
+
+def _same_demands(demands: List[Tuple[SimProcess, Demand]],
+                  previous: List[Tuple[SimProcess, Demand]]) -> bool:
+    """Whether each process polled the identical Demand object, in the
+    same order, as in the previous quantum."""
+    if len(demands) != len(previous):
+        return False
+    index = 0
+    for process, demand in demands:
+        before = previous[index]
+        if demand is not before[1] or process is not before[0]:
+            return False
+        index += 1
+    return True
 
 
 def _granted(assignments: List[ThreadAssignment]) -> Dict[int, float]:
@@ -106,12 +132,15 @@ class SimKernel:
         Runs of quanta that resolve to the same compiled program are
         replayed by the engine in one call; the pending run is flushed
         whenever the program changes and when the loop ends, also when
-        it ends by an exception.
+        it ends by an exception.  A steady quantum (identical demands,
+        unchanged frequency generation; see the module docstring)
+        reuses the pending program without asking the scheduler.
         """
         if n_quanta < 0:
             raise ConfigurationError("cannot advance a negative number "
                                      "of quanta")
         engine = self.machine._engine
+        frequency = self.machine.frequency
         quantum = self.quantum_s
         processes = self._processes.values()
         time_s = self.machine.time_s
@@ -120,6 +149,10 @@ class SimKernel:
         run_length = 0
         done = 0
         granted: Dict[int, float] = {}
+        # The previous quantum's (process, demand) pairs and frequency
+        # generation; both describe the pending program.
+        previous: List[Tuple[SimProcess, Demand]] = []
+        generation = -1
         try:
             while done < n_quanta and live and time_s < until_s:
                 demands: List[Tuple[SimProcess, Demand]] = []
@@ -133,17 +166,22 @@ class SimKernel:
                     live = bool(demands)
 
                 self.governor.update(self._last_busy)
-                assignments = self.scheduler.assign(demands)
-                program = engine.program(assignments, quantum)
-                if program is not pending:
-                    if pending is not None:
-                        flush, pending = pending, None
-                        engine.replay(flush, run_length)
-                    pending, run_length = program, 0
-                    granted = _granted(assignments)
+                if (frequency.generation != generation
+                        or not _same_demands(demands, previous)):
+                    generation = frequency.generation
+                    assignments = self.scheduler.assign(demands)
+                    program = engine.program(assignments, quantum)
+                    if program is not pending:
+                        if pending is not None:
+                            flush, pending = pending, None
+                            engine.replay(flush, run_length)
+                        pending, run_length = program, 0
+                        granted = _granted(assignments)
+                        # The program owns its busy map and nothing
+                        # mutates it.
+                        self._last_busy = program.cpu_busy
+                previous = demands
                 run_length += 1
-                # The program owns its busy map and nothing mutates it.
-                self._last_busy = program.cpu_busy
                 for process, _demand in demands:
                     process.account(granted.get(process.pid, 0.0) * quantum,
                                     quantum)

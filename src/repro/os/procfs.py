@@ -4,7 +4,10 @@ This is the interface the CPU-load baseline (Versick et al.) and the
 PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 ``/proc/<pid>/stat`` utime) and per-CPU busy/idle time (as ``/proc/stat``).
 It consumes the machine's replayed segments, so it sees exactly what the
-simulated kernel sees — no access to the hidden power model.
+simulated kernel sees — no access to the hidden power model.  A segment
+adds the program's per-tick addends *n* times in tick order: with plain
+loops when short, with one :class:`~repro.simcpu.engine.Fold` over all
+its cells once it reaches ``FOLD_MIN_ADDITIONS`` additions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import repeat
 from typing import Dict, Tuple
 
 from repro.errors import ProcessError
-from repro.simcpu.engine import TickProgram
+from repro.simcpu.engine import FOLD_MIN_ADDITIONS, Fold, TickProgram
 from repro.simcpu.machine import Machine
 
 
@@ -53,6 +56,10 @@ class ProcFs:
         if derived is None:
             derived = program.derived["procfs"] = self._derive(program)
         cpu_addends, pid_addends = derived
+        if n_ticks * (1 + len(cpu_addends) + len(pid_addends)) \
+                >= FOLD_MIN_ADDITIONS:
+            self._fold(program, n_ticks, cpu_addends, pid_addends)
+            return
         dt = program.dt_s
         total = self._total_time_s
         for _ in repeat(None, n_ticks):
@@ -71,6 +78,27 @@ class ProcFs:
                 for addend in addends:
                     value += addend
             pid_cpu_time_s[pid] = value
+
+    def _fold(self, program: TickProgram, n_ticks: int, cpu_addends,
+              pid_addends) -> None:
+        """The whole segment as one vectorised fold over every cell."""
+        fold = program.derived.get("procfs-fold")
+        if fold is None:
+            fold = program.derived["procfs-fold"] = Fold(
+                [(program.dt_s,)]
+                + [(addend,) for _cpu_id, addend in cpu_addends]
+                + [addends for _pid, addends in pid_addends])
+        cpus = [cpu_id for cpu_id, _addend in cpu_addends]
+        pids = [pid for pid, _addends in pid_addends]
+        cpu_busy_s = self._cpu_busy_s
+        pid_cpu_time_s = self._pid_cpu_time_s
+        values = fold.apply([self._total_time_s]
+                            + [cpu_busy_s[cpu_id] for cpu_id in cpus]
+                            + [pid_cpu_time_s[pid] for pid in pids],
+                            n_ticks)
+        self._total_time_s = values[0]
+        cpu_busy_s.update(zip(cpus, values[1:]))
+        pid_cpu_time_s.update(zip(pids, values[1 + len(cpus):]))
 
     # -- /proc/<pid>/stat ----------------------------------------------------
 

@@ -11,7 +11,10 @@ The session is a segment consumer of the machine
 (:meth:`~repro.simcpu.machine.Machine.add_consumer`): the engine calls
 it once per replayed segment of identical ticks, and each counter folds
 its target's per-tick addends — memoised in the program's ``derived``
-slot — once per tick of the segment, in the per-tick order.
+slot — once per tick of the segment, in the per-tick order.  A long
+segment folds the counter's enabled time, running time and raw count
+with one :class:`~repro.simcpu.engine.Fold`; a short one keeps the
+plain loops, which are cheaper below ``FOLD_MIN_ADDITIONS`` additions.
 
 Multiplexing lives in :mod:`repro.perf.multiplex`; the session delegates
 per-tick scheduling decisions to it.  When the scheduler rotates a
@@ -29,7 +32,7 @@ from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
-from repro.simcpu.engine import TickProgram
+from repro.simcpu.engine import FOLD_MIN_ADDITIONS, Fold, TickProgram
 from repro.simcpu.machine import Machine
 
 
@@ -71,8 +74,10 @@ class PerfCounter:
         self.raw = 0.0
         self.time_enabled_s = 0.0
         self.time_running_s = 0.0
-        # Key of this target's per-tick addends in TickProgram.derived.
+        # Keys of this target's per-tick addends, and of their fold, in
+        # TickProgram.derived.
         self._derived_key = ("perf", event, pid, cpu)
+        self._fold_key = ("perf-fold", event, pid, cpu)
 
     def _check_open(self) -> None:
         if self.closed:
@@ -146,6 +151,15 @@ class PerfCounter:
                     scheduled: bool) -> None:
         """Fold *n_ticks* identical ticks of *program* into the counter."""
         dt = program.dt_s
+        if scheduled and n_ticks * 3 >= FOLD_MIN_ADDITIONS:
+            fold = program.derived.get(self._fold_key)
+            if fold is None:
+                fold = program.derived[self._fold_key] = Fold(
+                    ((dt,), (dt,), self._addends(program)))
+            self.time_enabled_s, self.time_running_s, self.raw = fold.apply(
+                (self.time_enabled_s, self.time_running_s, self.raw),
+                n_ticks)
+            return
         enabled = self.time_enabled_s
         for _ in itertools.repeat(None, n_ticks):
             enabled += dt

@@ -22,7 +22,10 @@ This module splits the step into the two halves the tick loop conflates:
 * **replay** — :meth:`BatchEngine.replay` advances N ticks by replaying
   only the data-dependent state updates: the first-order thermal
   relaxation, the energy and time integrals, and one float addition per
-  accumulation cell per tick.
+  accumulation cell per tick.  Once a segment holds
+  :data:`FOLD_MIN_ADDITIONS` or more cell additions, the cells are
+  folded by one vectorised, bit-exact :class:`Fold` instead of Python
+  loops; the segment consumers use the same helper.
 
 Bit-identity is the hard contract (the golden dataset tests pin it):
 replaying a program performs exactly the float operations, in exactly
@@ -42,7 +45,8 @@ Two kinds of subscriber read the replay:
   ``(program, n)`` and fold the program's per-tick addends *n* times
   themselves.  They memoise what they derive from a program in its
   ``derived`` slot, so a steady segment costs them one dict lookup
-  plus the additions.  They never force the tick-wise path.
+  plus the additions (a :class:`Fold` when the segment is long).
+  They never force the tick-wise path.
 * **tick observers** (``Machine.add_observer``: meters, RAPL, the
   attribution oracle, user callbacks) see every :class:`TickRecord`;
   while any is attached replay runs tick-wise, and consumers are then
@@ -54,12 +58,86 @@ from __future__ import annotations
 from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
 from repro.simcpu.power import CoreActivity, PowerBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
     from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
+
+
+#: A segment fold of fewer additions than this (ticks x cells) runs as
+#: plain Python loops: below it, building the numpy block costs more
+#: than the loop it replaces.
+FOLD_MIN_ADDITIONS = 1024
+#: Ticks per block of a vectorised fold, so its memory does not grow
+#: with the segment.
+FOLD_CHUNK_TICKS = 128
+
+
+class Fold:
+    """Repeated in-order addition of fixed per-cell addends, vectorised.
+
+    ``Fold(addends).apply(values, n)`` returns every ``values[i]`` after
+    *n* rounds of adding ``addends[i][0], addends[i][1], ...`` in order —
+    bit for bit the result of the nested loop::
+
+        for _ in range(n):
+            for addend in addends[i]:
+                value += addend
+
+    ``np.add.accumulate`` along axis 0 of a rows x cells block whose
+    first row holds the values and whose later rows repeat each cell's
+    addend tuple performs those same IEEE-754 additions, in the same
+    order, per column.  Tuples shorter than the longest are padded with
+    ``-0.0``, the exact additive identity (``x + -0.0 == x`` for every
+    ``x``, ``+0.0`` included).  The block holds at most
+    :data:`FOLD_CHUNK_TICKS` ticks; longer folds run chunk after chunk.
+    A cell with no addends, and every cell when *n* is 0, is returned
+    untouched, so an int value stays an int exactly as in the loop.
+    Addends must be floats.
+    """
+
+    __slots__ = ("_pattern", "_empty")
+
+    def __init__(self, addends: Sequence[Sequence[float]]) -> None:
+        width = max(max(map(len, addends), default=0), 1)
+        padding = (-0.0,) * width
+        flat: List[float] = []
+        for cell in addends:
+            flat.extend(cell)
+            flat.extend(padding[len(cell):])
+        # width x cells: row j holds every cell's j-th addend.
+        self._pattern = np.array(flat, dtype=float).reshape(
+            len(addends), width).T
+        self._empty = [column for column, cell in enumerate(addends)
+                       if not cell]
+
+    def apply(self, values: Sequence[float], n_ticks: int) -> List[float]:
+        """*values* after *n_ticks* rounds of their addends (a new list)."""
+        if n_ticks <= 0 or not values:
+            return list(values)
+        pattern = self._pattern
+        width, cells = pattern.shape
+        chunk = min(n_ticks, FOLD_CHUNK_TICKS)
+        block = np.empty((1 + chunk * width, cells))
+        block[1:].reshape(chunk, width, cells)[...] = pattern
+        block[0] = values
+        out = np.empty_like(block)
+        remaining = n_ticks
+        with np.errstate(over="ignore", invalid="ignore"):
+            while remaining:
+                ticks = min(remaining, chunk)
+                rows = 1 + ticks * width
+                np.add.accumulate(block[:rows], axis=0, out=out[:rows])
+                block[0] = out[rows - 1]
+                remaining -= ticks
+        result = block[0].tolist()
+        for column in self._empty:
+            result[column] = values[column]
+        return result
 
 
 class TickProgram:
@@ -70,7 +148,7 @@ class TickProgram:
         "dt_s", "cpu_busy", "core_freqs", "events", "machine_events",
         "single_cells", "multi_cells", "current_states", "has_counters",
         "idle_w", "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w",
-        "dynamic_w", "bank", "cstates", "derived",
+        "dynamic_w", "bank", "cstates", "derived", "fold",
     )
 
 
@@ -181,6 +259,9 @@ class BatchEngine:
         program.cstates = machine.cstates
         # Segment consumers memoise what they derive from the program here.
         program.derived = {}
+        # (cells, Fold) over every accumulation cell, built on the first
+        # segment long enough to fold.
+        program.fold = None
         return program
 
     def _activities(self, cpu_busy, core_freqs, core_weights, dt_s):
@@ -268,9 +349,11 @@ class BatchEngine:
         tick-at-a-time loop; segment consumers then run once per tick.
         Without observers only the final record is built, the
         accumulation cells are walked column-wise — one tight
-        ``t += d`` loop per cell — which performs the identical
-        additions in a cell-local order, and each segment consumer is
-        called once with the whole segment.
+        ``t += d`` loop per cell, or one :class:`Fold` over all cells
+        once ``n_ticks`` x cells reaches :data:`FOLD_MIN_ADDITIONS` —
+        which performs the identical additions in a cell-local order,
+        and each segment consumer is called once with the whole
+        segment.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -350,17 +433,21 @@ class BatchEngine:
             leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
             energy += ((base_w + leak) + wakeup_w) * dt
             time_s += dt
-        for container, index, addend in single_cells:
-            value = container[index]
-            for _ in repeat(None, n_ticks):
-                value += addend
-            container[index] = value
-        for container, index, addends in multi_cells:
-            value = container[index]
-            for _ in repeat(None, n_ticks):
-                for addend in addends:
+        if n_ticks * (len(single_cells) + len(multi_cells)) \
+                >= FOLD_MIN_ADDITIONS:
+            self._fold_cells(program, n_ticks)
+        else:
+            for container, index, addend in single_cells:
+                value = container[index]
+                for _ in repeat(None, n_ticks):
                     value += addend
-            container[index] = value
+                container[index] = value
+            for container, index, addends in multi_cells:
+                value = container[index]
+                for _ in repeat(None, n_ticks):
+                    for addend in addends:
+                        value += addend
+                container[index] = value
 
         thermal.temperature_c = temp
         machine._energy_j = energy
@@ -383,3 +470,22 @@ class BatchEngine:
         record.__dict__["_machine_events"] = program.machine_events
         machine.last_record = record
         return record
+
+    @staticmethod
+    def _fold_cells(program: TickProgram, n_ticks: int) -> None:
+        """Add every accumulation cell's addends *n_ticks* times at once."""
+        if program.fold is None:
+            cells = ([(container, index) for container, index, _addend
+                      in program.single_cells]
+                     + [(container, index) for container, index, _addends
+                        in program.multi_cells])
+            addends = ([(addend,) for _container, _index, addend
+                        in program.single_cells]
+                       + [addends for _container, _index, addends
+                          in program.multi_cells])
+            program.fold = (cells, Fold(addends))
+        cells, fold = program.fold
+        values = fold.apply([container[index] for container, index in cells],
+                            n_ticks)
+        for (container, index), value in zip(cells, values):
+            container[index] = value

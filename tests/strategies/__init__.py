@@ -6,7 +6,8 @@ assignment lists, dt values and multi-segment schedules with pid churn —
 so each new test file stops growing its own slightly different copies.
 The telemetry wire frames, spool records, pipeline specs and fault
 plans that the streaming/chaos suites fuzz live here too, as do the
-live monitoring scenarios the batched-path equivalence suite repeats.
+live monitoring scenarios the batched-path equivalence suite repeats,
+and the values and addends of the engine's vectorised segment fold.
 
 ``default_settings`` is the shared profile: bounded example counts and
 no deadline (the simulator's first tick can dominate a single example's
@@ -20,6 +21,8 @@ from tests.strategies.assignments import (assignment_lists, dts,
                                           memory_profiles, schedules,
                                           thread_assignments)
 from tests.strategies.faultplans import fault_events, fault_plans
+from tests.strategies.folds import (fold_addends, fold_cells, fold_lengths,
+                                    fold_values)
 from tests.strategies.live import (LiveScenario, live_fault_plans,
                                    live_scenarios)
 from tests.strategies.matrices import (invariant_configs, matrix_specs,
@@ -51,6 +54,8 @@ __all__ = [
     "control_specs", "pipeline_specs", "reporter_specs",
     # fault plans
     "fault_events", "fault_plans",
+    # segment folds
+    "fold_addends", "fold_cells", "fold_lengths", "fold_values",
     # live monitoring runs
     "LiveScenario", "live_fault_plans", "live_scenarios",
     # scenario matrices

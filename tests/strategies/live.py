@@ -3,9 +3,10 @@
 A :class:`LiveScenario` is everything needed to build one monitored
 kernel and drive it the same way twice: the workload, the quantum and
 sampling period, the HPC events, an optional fault plan with restart
-backoff, an optional power cap changed between ``run`` calls, and the
-lengths of those calls.  Times are whole multiples of the quantum, so
-fault and cap instants fall inside the run whatever the quantum.
+backoff, an optional power cap changed between ``run`` calls, the
+cpufreq governor, and the lengths of those calls.  Times are whole
+multiples of the quantum, so fault and cap instants fall inside the run
+whatever the quantum.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,10 @@ from repro.simcpu import counters as ev
 SIX_EVENTS = ev.GENERIC_TRIO + (ev.CYCLES, ev.BRANCHES, ev.BRANCH_MISSES)
 
 WORKLOADS = ("cpu-stress", "specjbb", "tenants", "churn")
+
+#: Names in ``repro.os.governor.GOVERNORS``; conservative and ondemand
+#: move P-states mid-segment, so steady quanta must not be skipped then.
+GOVERNOR_NAMES = ("performance", "powersave", "ondemand", "conservative")
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ class LiveScenario:
     caps_w: Optional[Tuple[float, ...]] = None
     #: Quanta per ``run`` call.
     runs: Tuple[int, ...] = (100,)
+    #: One of :data:`GOVERNOR_NAMES`.
+    governor: str = "performance"
 
     @property
     def period_s(self) -> float:
@@ -98,4 +105,5 @@ def live_scenarios(draw):
         backoff_s=draw(st.sampled_from([0.0, 0.0, 0.03, 0.2])),
         caps_w=caps_w,
         runs=runs,
+        governor=draw(st.sampled_from(GOVERNOR_NAMES)),
     )

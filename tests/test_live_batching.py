@@ -33,7 +33,9 @@ from repro.core.reporters import InMemoryReporter
 from repro.errors import ConfigurationError
 from repro.faults import (ActorCrash, FaultPlan, PidExit, SampleLoss,
                           SlotStarvation)
+from repro.os.governor import GOVERNORS
 from repro.os.kernel import SimKernel
+from repro.os.scheduler import Scheduler
 from repro.perf.multiplex import MultiplexScheduler
 from repro.simcpu.counters import ALL_EVENTS
 from repro.simcpu.engine import BatchEngine
@@ -147,7 +149,8 @@ def spawn(kernel: SimKernel, scenario: LiveScenario):
 
 
 def build(scenario: LiveScenario, legacy: bool = False) -> Run:
-    kernel = SimKernel(SPEC, quantum_s=scenario.quantum_s)
+    kernel = SimKernel(SPEC, quantum_s=scenario.quantum_s,
+                       governor_factory=GOVERNORS[scenario.governor])
     pids = spawn(kernel, scenario)
     api = PowerAPI(kernel, MODEL, period_s=scenario.period_s)
     if scenario.backoff_s:
@@ -242,6 +245,11 @@ CASES = {
     "steady-cpu-stress": LiveScenario(
         "cpu-stress", quantum_s=0.001, period_quanta=250,
         runs=(1000, 500)),
+    # One-second periods: every segment is long enough for the engine,
+    # perf and procfs to take the vectorised fold.
+    "steady-long-segments": LiveScenario(
+        "cpu-stress", quantum_s=0.001, period_quanta=1000,
+        runs=(2500,)),
     "specjbb": LiveScenario(
         "specjbb", quantum_s=0.01, period_quanta=100, runs=(300,)),
     "six-events-on-four-slots": LiveScenario(
@@ -260,6 +268,19 @@ CASES = {
         caps_w=(500.0, 40.0, 500.0), runs=(200, 300, 100)),
     "pid-churn": LiveScenario(
         "churn", quantum_s=0.005, period_quanta=20, runs=(90, 210)),
+    # The sensor restarts inside a sample-loss window: it must take its
+    # baselines without reading the counters.
+    "sensor-restart-in-sample-loss": LiveScenario(
+        "cpu-stress", quantum_s=0.01, period_quanta=10,
+        faults=FaultPlan([SampleLoss(at_s=0.5, duration_s=1.0),
+                          ActorCrash(at_s=0.8, actor="sensor-0")]),
+        runs=(200,)),
+    # Conservative steps one P-state per quantum under the cap's
+    # CeilingGovernor while demand stays the identical object: the
+    # frequency generation alone must end the steady stretch.
+    "conservative-ramp-under-cap": LiveScenario(
+        "churn", quantum_s=0.005, period_quanta=40, governor="conservative",
+        caps_w=(500.0, 45.0, 500.0), runs=(120, 150, 90)),
 }
 
 
@@ -368,6 +389,41 @@ class TestCoalescing:
         assert calls == [1000]
         api.run(1.0)
         assert calls == [1000, 1000]
+
+    @staticmethod
+    def _count_placements(monkeypatch):
+        """Count ``Scheduler.assign`` and ``BatchEngine.program`` calls."""
+        calls = {"assign": 0, "program": 0}
+        assign = Scheduler.assign
+        program = BatchEngine.program
+
+        def counting_assign(scheduler, demands):
+            calls["assign"] += 1
+            return assign(scheduler, demands)
+
+        def counting_program(engine, assignments, dt_s):
+            calls["program"] += 1
+            return program(engine, assignments, dt_s)
+
+        monkeypatch.setattr(Scheduler, "assign", counting_assign)
+        monkeypatch.setattr(BatchEngine, "program", counting_program)
+        return calls
+
+    def test_steady_period_places_once(self, monkeypatch):
+        api = self._steady_api()
+        calls = self._count_placements(monkeypatch)
+        api.run(1.0)
+        assert calls == {"assign": 1, "program": 1}
+
+    def test_changing_demand_is_placed_every_quantum(self, monkeypatch):
+        kernel = SimKernel(SPEC, quantum_s=0.01)
+        pid = kernel.spawn(SpecJbbWorkload(duration_s=60.0, threads=4,
+                                           seed=3))
+        api = PowerAPI(kernel, MODEL, period_s=1.0)
+        api.monitor(pid).every(1.0).to(InMemoryReporter())
+        calls = self._count_placements(monkeypatch)
+        api.run(1.0)
+        assert calls == {"assign": 100, "program": 100}
 
     def test_pending_mail_steps_one_quantum(self, monkeypatch):
         kernel = SimKernel(SPEC, quantum_s=0.01)
