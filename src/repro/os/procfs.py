@@ -5,9 +5,10 @@ PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 ``/proc/<pid>/stat`` utime) and per-CPU busy/idle time (as ``/proc/stat``).
 It consumes the machine's replayed segments, so it sees exactly what the
 simulated kernel sees — no access to the hidden power model.  A segment
-adds the program's per-tick addends *n* times in tick order: with plain
-loops when short, with one :class:`~repro.simcpu.engine.Fold` over all
-its cells once it reaches ``FOLD_MIN_ADDITIONS`` additions.
+adds the program's per-tick addends *n* times in tick order: with one
+:class:`~repro.simcpu.engine.Fold` over all its cells where
+``Fold.pays`` for the segment's length and cell count, else with plain
+loops.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import repeat
 from typing import Dict, Tuple
 
 from repro.errors import ProcessError
-from repro.simcpu.engine import FOLD_MIN_ADDITIONS, Fold, TickProgram
+from repro.simcpu.engine import Fold, TickProgram
 from repro.simcpu.machine import Machine
 
 
@@ -56,8 +57,7 @@ class ProcFs:
         if derived is None:
             derived = program.derived["procfs"] = self._derive(program)
         cpu_addends, pid_addends = derived
-        if n_ticks * (1 + len(cpu_addends) + len(pid_addends)) \
-                >= FOLD_MIN_ADDITIONS:
+        if Fold.pays(n_ticks, 1 + len(cpu_addends) + len(pid_addends)):
             self._fold(program, n_ticks, cpu_addends, pid_addends)
             return
         dt = program.dt_s

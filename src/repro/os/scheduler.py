@@ -42,7 +42,11 @@ class Scheduler:
             cpu_id: topology.siblings(cpu_id) for cpu_id in self._cpu_ids}
         # Placement is a pure function of the demand set, which is
         # constant for thousands of consecutive quanta under a steady
-        # workload; memoise the last quantum's decision.
+        # workload; memoise the last quantum's decision.  The kernel's
+        # steady-quantum skip only catches identical Demand objects
+        # within one advance call; this memo catches equal demands built
+        # afresh (SPECjbb, ~87% of its quanta) and steady demand across
+        # calls (one quantum per call in a tenant stream).
         self._last_signature: Optional[tuple] = None
         self._last_assignments: List[ThreadAssignment] = []
 

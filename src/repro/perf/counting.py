@@ -14,7 +14,7 @@ its target's per-tick addends — memoised in the program's ``derived``
 slot — once per tick of the segment, in the per-tick order.  A long
 segment folds the counter's enabled time, running time and raw count
 with one :class:`~repro.simcpu.engine.Fold`; a short one keeps the
-plain loops, which are cheaper below ``FOLD_MIN_ADDITIONS`` additions.
+plain loops, which are cheaper below the ``Fold.pays`` cut-over.
 
 Multiplexing lives in :mod:`repro.perf.multiplex`; the session delegates
 per-tick scheduling decisions to it.  When the scheduler rotates a
@@ -32,7 +32,7 @@ from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
-from repro.simcpu.engine import FOLD_MIN_ADDITIONS, Fold, TickProgram
+from repro.simcpu.engine import Fold, TickProgram
 from repro.simcpu.machine import Machine
 
 
@@ -151,7 +151,7 @@ class PerfCounter:
                     scheduled: bool) -> None:
         """Fold *n_ticks* identical ticks of *program* into the counter."""
         dt = program.dt_s
-        if scheduled and n_ticks * 3 >= FOLD_MIN_ADDITIONS:
+        if scheduled and Fold.pays(n_ticks, 3):
             fold = program.derived.get(self._fold_key)
             if fold is None:
                 fold = program.derived[self._fold_key] = Fold(

@@ -22,10 +22,10 @@ This module splits the step into the two halves the tick loop conflates:
 * **replay** — :meth:`BatchEngine.replay` advances N ticks by replaying
   only the data-dependent state updates: the first-order thermal
   relaxation, the energy and time integrals, and one float addition per
-  accumulation cell per tick.  Once a segment holds
-  :data:`FOLD_MIN_ADDITIONS` or more cell additions, the cells are
-  folded by one vectorised, bit-exact :class:`Fold` instead of Python
-  loops; the segment consumers use the same helper.
+  accumulation cell per tick.  Where :meth:`Fold.pays` says a segment
+  is long enough for its cell count, the cells are folded by one
+  vectorised, bit-exact :class:`Fold` instead of Python loops; the
+  segment consumers use the same helper and the same cut-over.
 
 Bit-identity is the hard contract (the golden dataset tests pin it):
 replaying a program performs exactly the float operations, in exactly
@@ -68,12 +68,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
     from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
 
 
-#: A segment fold of fewer additions than this (ticks x cells) runs as
-#: plain Python loops: below it, building the numpy block costs more
-#: than the loop it replaces.
-FOLD_MIN_ADDITIONS = 1024
+#: Cut-over of the vectorised fold (:meth:`Fold.pays`), in cell
+#: additions (ticks x cells).  Measured loop/fold break-evens: ~600
+#: additions for 3 cells (a perf counter), ~400 for 6 (procfs), and
+#: ~600 for an engine program of 60 cells replayed inside a monitored
+#: run (5-tick segments lose 8% by folding, 20-tick ones gain 14%).
+#: Fewer additions than this run as plain Python loops.
+FOLD_MIN_ADDITIONS = 640
 #: Ticks per block of a vectorised fold, so its memory does not grow
-#: with the segment.
+#: with the segment.  Measured at 1000 ticks over 60 cells, 128 is the
+#: fastest block (64 and 256 are 5% and 19% slower) and peaks at
+#: ~240 KiB.
 FOLD_CHUNK_TICKS = 128
 
 
@@ -101,6 +106,12 @@ class Fold:
     """
 
     __slots__ = ("_pattern", "_empty")
+
+    @staticmethod
+    def pays(n_ticks: int, cells: int) -> bool:
+        """Whether folding *n_ticks* ticks of *cells* cells beats the
+        plain Python loops (see :data:`FOLD_MIN_ADDITIONS`)."""
+        return n_ticks * cells >= FOLD_MIN_ADDITIONS
 
     def __init__(self, addends: Sequence[Sequence[float]]) -> None:
         width = max(max(map(len, addends), default=0), 1)
@@ -148,7 +159,7 @@ class TickProgram:
         "dt_s", "cpu_busy", "core_freqs", "events", "machine_events",
         "single_cells", "multi_cells", "current_states", "has_counters",
         "idle_w", "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w",
-        "dynamic_w", "bank", "cstates", "derived", "fold",
+        "dynamic_w", "bank", "cstates", "derived",
     )
 
 
@@ -257,11 +268,9 @@ class BatchEngine:
                            + breakdown.uncore) + breakdown.dram)
         program.bank = machine.counters
         program.cstates = machine.cstates
-        # Segment consumers memoise what they derive from the program here.
+        # Segment consumers, and replay's own fold, memoise what they
+        # derive from the program here.
         program.derived = {}
-        # (cells, Fold) over every accumulation cell, built on the first
-        # segment long enough to fold.
-        program.fold = None
         return program
 
     def _activities(self, cpu_busy, core_freqs, core_weights, dt_s):
@@ -350,10 +359,9 @@ class BatchEngine:
         Without observers only the final record is built, the
         accumulation cells are walked column-wise — one tight
         ``t += d`` loop per cell, or one :class:`Fold` over all cells
-        once ``n_ticks`` x cells reaches :data:`FOLD_MIN_ADDITIONS` —
-        which performs the identical additions in a cell-local order,
-        and each segment consumer is called once with the whole
-        segment.
+        where :meth:`Fold.pays` — which performs the identical
+        additions in a cell-local order, and each segment consumer is
+        called once with the whole segment.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -433,8 +441,7 @@ class BatchEngine:
             leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
             energy += ((base_w + leak) + wakeup_w) * dt
             time_s += dt
-        if n_ticks * (len(single_cells) + len(multi_cells)) \
-                >= FOLD_MIN_ADDITIONS:
+        if Fold.pays(n_ticks, len(single_cells) + len(multi_cells)):
             self._fold_cells(program, n_ticks)
         else:
             for container, index, addend in single_cells:
@@ -474,7 +481,8 @@ class BatchEngine:
     @staticmethod
     def _fold_cells(program: TickProgram, n_ticks: int) -> None:
         """Add every accumulation cell's addends *n_ticks* times at once."""
-        if program.fold is None:
+        derived = program.derived.get("engine-fold")
+        if derived is None:
             cells = ([(container, index) for container, index, _addend
                       in program.single_cells]
                      + [(container, index) for container, index, _addends
@@ -483,8 +491,8 @@ class BatchEngine:
                         in program.single_cells]
                        + [addends for _container, _index, addends
                           in program.multi_cells])
-            program.fold = (cells, Fold(addends))
-        cells, fold = program.fold
+            derived = program.derived["engine-fold"] = (cells, Fold(addends))
+        cells, fold = derived
         values = fold.apply([container[index] for container, index in cells],
                             n_ticks)
         for (container, index), value in zip(cells, values):

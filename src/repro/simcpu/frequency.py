@@ -30,10 +30,6 @@ class FrequencyDomain:
     def __init__(self, spec: CpuSpec) -> None:
         self.spec = spec
         self._target_hz: Dict[Tuple[int, int], int] = {}
-        # Governors re-request a target every quantum; membership in a
-        # set built once keeps that check O(1).  A miss still goes
-        # through spec.validate_frequency for its FrequencyError.
-        self._valid_hz = frozenset(spec.all_frequencies_hz)
         for package_id in range(spec.packages):
             for core_id in range(spec.cores_per_package):
                 self._target_hz[(package_id, core_id)] = spec.min_frequency_hz
@@ -58,8 +54,7 @@ class FrequencyDomain:
 
     def set_target(self, package_id: int, core_id: int, frequency_hz: int) -> None:
         """Request a P-state for one core (what a cpufreq governor does)."""
-        if frequency_hz not in self._valid_hz:
-            self.spec.validate_frequency(frequency_hz)
+        self.spec.validate_frequency(frequency_hz)
         key = (package_id, core_id)
         if key not in self._target_hz:
             raise FrequencyError(f"no such core pkg{package_id}/core{core_id}")
@@ -69,8 +64,7 @@ class FrequencyDomain:
 
     def set_all_targets(self, frequency_hz: int) -> None:
         """Request the same P-state on every core."""
-        if frequency_hz not in self._valid_hz:
-            self.spec.validate_frequency(frequency_hz)
+        self.spec.validate_frequency(frequency_hz)
         changed = False
         for key, current in self._target_hz.items():
             if current != frequency_hz:

@@ -128,6 +128,11 @@ class CpuSpec:
         levels = [cache.level for cache in self.caches]
         if levels != sorted(levels) or len(set(levels)) != len(levels):
             raise ConfigurationError("caches must be ordered by unique level")
+        # Governors re-request a P-state every quantum, so the membership
+        # test behind validate_frequency is a set built once (not a field:
+        # it stays out of equality, repr and asdict).
+        object.__setattr__(self, "_frequency_set",
+                           frozenset(self.all_frequencies_hz))
 
     # -- topology ----------------------------------------------------------
 
@@ -175,7 +180,7 @@ class CpuSpec:
 
     def validate_frequency(self, frequency_hz: int) -> int:
         """Return *frequency_hz* if supported, else raise FrequencyError."""
-        if frequency_hz not in self.all_frequencies_hz:
+        if frequency_hz not in self._frequency_set:
             raise FrequencyError(
                 f"{frequency_hz} Hz unsupported on {self.model}; "
                 f"supported: {list(self.all_frequencies_hz)}")

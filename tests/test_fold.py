@@ -109,6 +109,17 @@ class TestCutOver:
         # One segment: the engine, procfs and each of the three counters.
         assert calls == [1000] * 5
 
+    def test_per_tick_consumer_calls_keep_the_loop(self):
+        # Learning campaigns call perf (3 cells) and procfs (a handful)
+        # with one tick thousands of times, and a monitored run at a
+        # 5 ms period replays 5-tick segments; the fold's fixed cost
+        # would dominate both.  Long segments fold.
+        assert not Fold.pays(1, 3)
+        assert not Fold.pays(1, 9)
+        assert not Fold.pays(5, 64)
+        assert Fold.pays(20, 64)
+        assert Fold.pays(1000, 3)
+
     def test_single_ticks_keep_the_loop(self, monkeypatch):
         kernel, calls = self._kernel(monkeypatch)
         kernel.machine.add_observer(lambda record: None)
